@@ -60,15 +60,17 @@ commands:
                             skipped and reported)
            [--inspect]      print the entries of --db and exit
   serve    run the batched BFC HTTP/JSON service (POST /v1/bfc,
-           GET /healthz, GET /v1/stats); same-shape jobs arriving within
-           the coalescing window share one plan fetch + workspace lease,
+           GET /healthz, GET /v1/stats); same-shape jobs that queue
+           while a batch runs share one plan fetch + workspace lease,
            and a full admission queue answers 429 + Retry-After
            [--port P]       bind port (default 8077; 0 = ephemeral)
            [--bind ADDR]    bind address (default 127.0.0.1)
            [--addr-file F]  write the bound host:port to F once listening
            [--max-jobs N]   serve N jobs, then shut down cleanly (0 = run
                             until killed; the CI smoke test relies on this)
-           [--window-ms MS] coalescing window (default 2)
+           [--window-ms MS] coalescing window (default 0 = dispatch at
+                            once; a positive window trades latency for
+                            coalescing more same-shape jobs per batch)
            [--queue-cap K]  max queued jobs before 429 (default 256)
            [--pool-slots K] private workspace pool with K slots
                             (default 0 = share the process-global pool)
@@ -928,7 +930,8 @@ fn cmd_serve(flags: &Flags) -> Result<String, String> {
     let port = flags.opt_usize("port", 8077)?;
     let bind = flags.opt_str("bind").unwrap_or("127.0.0.1");
     let max_jobs = flags.opt_usize("max-jobs", 0)?;
-    let window_ms = flags.opt_usize("window-ms", 2)?;
+    let default_window_ms = winrs_serve::ServeConfig::default().window.as_millis() as usize;
+    let window_ms = flags.opt_usize("window-ms", default_window_ms)?;
     let queue_cap = flags.opt_usize("queue-cap", 256)?;
     let slots = flags.opt_usize("pool-slots", 0)?;
     let device = device_by_name(flags.opt_str("device"))?;

@@ -2,12 +2,13 @@
 //! load generator, the CI smoke test and the e2e suite, with no ambition
 //! beyond that (one request per connection, JSON bodies only).
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read};
 use std::net::TcpStream;
 use std::time::Duration;
 
 use winrs_json::Json;
 
+use crate::http::write_request;
 use crate::protocol::JobRequest;
 
 /// A parsed HTTP reply.
@@ -67,24 +68,21 @@ impl Client {
         stream
             .set_read_timeout(Some(self.timeout))
             .map_err(|e| format!("set timeout: {e}"))?;
-        let mut write_half = stream
-            .try_clone()
-            .map_err(|e| format!("clone stream: {e}"))?;
+        stream
+            .set_nodelay(true)
+            .map_err(|e| format!("set nodelay: {e}"))?;
 
-        let payload = body.unwrap_or("");
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n",
-            self.addr,
-            payload.len()
-        );
-        write_half
-            .write_all(head.as_bytes())
-            .and_then(|()| write_half.write_all(payload.as_bytes()))
-            .and_then(|()| write_half.flush())
-            .map_err(|e| format!("send request: {e}"))?;
+        // One write for head + payload (see `http`'s module doc).
+        write_request(
+            &mut &stream,
+            method,
+            path,
+            &self.addr,
+            body.unwrap_or("").as_bytes(),
+        )
+        .map_err(|e| format!("send request: {e}"))?;
 
-        let mut reader = BufReader::new(stream);
+        let mut reader = BufReader::new(&stream);
         let mut status_line = String::new();
         reader
             .read_line(&mut status_line)

@@ -1,14 +1,24 @@
-//! Minimal HTTP/1.1 framing over `std::net::TcpStream`.
+//! Minimal HTTP/1.1 framing over any `BufRead` / `Write` pair.
 //!
 //! The build environment has no async runtime and no HTTP crate, so this
 //! module hand-rolls exactly the subset the BFC service needs: request
-//! parsing with `Content-Length` bodies, response serialisation, and
-//! keep-alive. It is deliberately *not* a general server — no chunked
-//! transfer, no continuations, no pipelining beyond what a `BufReader`
-//! loop gives for free.
+//! parsing with `Content-Length` bodies, request and response
+//! serialisation, and keep-alive. It is deliberately *not* a general
+//! server — no chunked transfer, no continuations, no pipelining beyond
+//! what a `BufReader` loop gives for free.
+//!
+//! # One segment per message
+//!
+//! Every message is rendered into one buffer and handed to the socket
+//! with a single `write_all`. Writing the head and the body separately on
+//! a keep-alive connection is the classic Nagle × delayed-ACK stall:
+//! Nagle holds the small body write until the head segment is ACKed, and
+//! the peer delays that ACK (up to 40 ms on Linux) hoping to piggyback it
+//! on an answer it cannot send before the body arrives. Both the server
+//! and [`crate::Client`] also set `TCP_NODELAY`, so one write leaves at
+//! once.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, Write};
 use std::time::Duration;
 
 /// Upper bound on an accepted request body. A full-gradient fig.10 job is
@@ -63,7 +73,7 @@ pub enum ReadOutcome {
 
 /// Read one HTTP request off `reader`. Returns [`ReadOutcome::Closed`] on
 /// a clean EOF before any bytes of a new request.
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> ReadOutcome {
+pub fn read_request<R: BufRead>(reader: &mut R) -> ReadOutcome {
     let mut start_line = String::new();
     match reader.read_line(&mut start_line) {
         Ok(0) => return ReadOutcome::Closed,
@@ -148,15 +158,15 @@ impl Response {
         self
     }
 
-    /// Serialise and write the response. `close` controls the
-    /// `Connection` header (and should match the server's intent to drop
-    /// the stream afterwards).
-    pub fn write_to(&self, stream: &mut TcpStream, close: bool) -> std::io::Result<()> {
-        let reason = reason_phrase(self.status);
+    /// Serialise the response and send it with one `write_all` (see the
+    /// module doc for why head and body must travel together). `close`
+    /// controls the `Connection` header (and should match the server's
+    /// intent to drop the stream afterwards).
+    pub fn write_to<W: Write>(&self, w: &mut W, close: bool) -> std::io::Result<()> {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
             self.status,
-            reason,
+            reason_phrase(self.status),
             self.body.len()
         );
         for (k, v) in &self.headers {
@@ -170,10 +180,36 @@ impl Response {
         } else {
             "Connection: keep-alive\r\n\r\n"
         });
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(&self.body)?;
-        stream.flush()
+        write_message(w, &head, &self.body)
     }
+}
+
+/// Serialise a request with a JSON body and send it with one `write_all`.
+/// The client always asks the server to close the connection afterwards.
+pub fn write_request<W: Write>(
+    w: &mut W,
+    method: &str,
+    path: &str,
+    host: &str,
+    body: &[u8],
+) -> std::io::Result<()> {
+    let head = format!(
+        "{method} {path} HTTP/1.1\r\nHost: {host}\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n",
+        body.len()
+    );
+    write_message(w, &head, body)
+}
+
+/// Concatenate `head` and `body` into one freshly allocated buffer and
+/// write it in one call. The buffer lives only as long as the message,
+/// so a connection never pins memory sized to its largest reply.
+fn write_message<W: Write>(w: &mut W, head: &str, body: &[u8]) -> std::io::Result<()> {
+    let mut msg = Vec::with_capacity(head.len() + body.len());
+    msg.extend_from_slice(head.as_bytes());
+    msg.extend_from_slice(body);
+    w.write_all(&msg)?;
+    w.flush()
 }
 
 fn reason_phrase(status: u16) -> &'static str {
@@ -195,27 +231,44 @@ fn reason_phrase(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
-    use std::thread;
 
-    fn roundtrip(raw: &[u8]) -> ReadOutcome {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let raw = raw.to_vec();
-        let t = thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(&raw).unwrap();
-        });
-        let (stream, _) = listener.accept().unwrap();
-        let mut reader = BufReader::new(stream);
-        let out = read_request(&mut reader);
-        t.join().unwrap();
-        out
+    fn parse(raw: &[u8]) -> ReadOutcome {
+        let mut reader = raw;
+        read_request(&mut reader)
+    }
+
+    /// A writer that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Split one recorded write into its head and body at the blank line.
+    fn head_and_body(msg: &[u8]) -> (String, &[u8]) {
+        let at = msg
+            .windows(4)
+            .position(|w| w == b"\r\n\r\n")
+            .expect("head terminator");
+        (
+            String::from_utf8(msg[..at + 4].to_vec()).unwrap(),
+            &msg[at + 4..],
+        )
     }
 
     #[test]
     fn parses_post_with_body() {
-        let out = roundtrip(b"POST /v1/bfc HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd");
+        let out = parse(b"POST /v1/bfc HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd");
         match out {
             ReadOutcome::Request(r) => {
                 assert_eq!(r.method, "POST");
@@ -229,13 +282,13 @@ mod tests {
 
     #[test]
     fn clean_eof_is_closed_not_malformed() {
-        assert!(matches!(roundtrip(b""), ReadOutcome::Closed));
+        assert!(matches!(parse(b""), ReadOutcome::Closed));
     }
 
     #[test]
     fn garbage_start_line_is_malformed() {
         assert!(matches!(
-            roundtrip(b"NOT-HTTP\r\n\r\n"),
+            parse(b"NOT-HTTP\r\n\r\n"),
             ReadOutcome::Malformed(_)
         ));
     }
@@ -246,14 +299,65 @@ mod tests {
             "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY_BYTES + 1
         );
-        assert!(matches!(roundtrip(raw.as_bytes()), ReadOutcome::Malformed(_)));
+        assert!(matches!(parse(raw.as_bytes()), ReadOutcome::Malformed(_)));
     }
 
     #[test]
     fn connection_close_header_is_honoured() {
-        let out = roundtrip(b"GET /healthz HTTP/1.1\r\nConnection: Close\r\n\r\n");
+        let out = parse(b"GET /healthz HTTP/1.1\r\nConnection: Close\r\n\r\n");
         match out {
             ReadOutcome::Request(r) => assert!(r.wants_close()),
+            _ => panic!("expected a parsed request"),
+        }
+    }
+
+    #[test]
+    fn ok_response_is_one_write_of_head_and_body() {
+        let body = r#"{"ok":true}"#;
+        let mut w = CountingWriter::default();
+        Response::json(200, body.to_string())
+            .write_to(&mut w, false)
+            .unwrap();
+        assert_eq!(w.writes.len(), 1, "head and body must share one write");
+        let (head, sent) = head_and_body(&w.writes[0]);
+        assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head}");
+        assert!(head.contains(&format!("Content-Length: {}\r\n", body.len())));
+        assert!(head.contains("Connection: keep-alive\r\n"));
+        assert_eq!(sent, body.as_bytes());
+    }
+
+    #[test]
+    fn backpressure_response_is_one_write_with_retry_after() {
+        let body = r#"{"ok":false,"kind":"queue-full"}"#;
+        let mut w = CountingWriter::default();
+        Response::json(429, body.to_string())
+            .with_header("Retry-After", "1")
+            .write_to(&mut w, true)
+            .unwrap();
+        assert_eq!(w.writes.len(), 1, "head and body must share one write");
+        let (head, sent) = head_and_body(&w.writes[0]);
+        assert!(
+            head.starts_with("HTTP/1.1 429 Too Many Requests\r\n"),
+            "{head}"
+        );
+        assert!(head.contains("Retry-After: 1\r\n"));
+        assert!(head.contains("Connection: close\r\n"));
+        assert_eq!(sent, body.as_bytes());
+    }
+
+    #[test]
+    fn request_is_one_write_that_the_parser_reads_back() {
+        let body = br#"{"shape":{}}"#;
+        let mut w = CountingWriter::default();
+        write_request(&mut w, "POST", "/v1/bfc", "127.0.0.1:1", body).unwrap();
+        assert_eq!(w.writes.len(), 1, "head and body must share one write");
+        match parse(&w.writes[0]) {
+            ReadOutcome::Request(r) => {
+                assert_eq!((r.method.as_str(), r.path.as_str()), ("POST", "/v1/bfc"));
+                assert_eq!(r.header("host"), Some("127.0.0.1:1"));
+                assert_eq!(r.body, body);
+                assert!(r.wants_close());
+            }
             _ => panic!("expected a parsed request"),
         }
     }

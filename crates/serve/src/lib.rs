@@ -5,12 +5,15 @@
 //!
 //! A dependency-free HTTP/JSON front end over the WinRS execution stack:
 //! jobs arrive as `POST /v1/bfc` bodies naming a shape, precision,
-//! fallback policy and deadline; a coalescing dispatcher groups same-key
-//! arrivals into one [`winrs_core::ExecHandle::run_batch`] call so the
-//! shape validation, tuner decision, plan fetch and workspace lease are
-//! paid once per burst instead of once per request; a bounded admission
-//! queue converts overload into fast HTTP 429 + `Retry-After` instead of
-//! unbounded memory growth.
+//! fallback policy and deadline; a work-conserving dispatcher runs each
+//! job as soon as it is queued, and groups same-key jobs that queued while
+//! the previous batch ran into one [`winrs_core::ExecHandle::run_batch`]
+//! call so the shape validation, tuner decision, plan fetch and workspace
+//! lease are paid once per burst instead of once per request; a bounded
+//! admission queue converts overload into fast HTTP 429 + `Retry-After`
+//! instead of unbounded memory growth. Every response leaves in one write
+//! on a `TCP_NODELAY` socket, so a keep-alive reply never waits for the
+//! client's delayed ACK.
 //!
 //! The build environment has no async runtime and no registry access, so
 //! both the HTTP layer ([`http`]) and the JSON wire format ([`protocol`],

@@ -4,7 +4,7 @@
 //! [`DispatchQueue`] is the piece of the serve dispatcher that was
 //! previously inlined in `server.rs`: a `Mutex<VecDeque>` + `Condvar`
 //! pair where connection handlers admit jobs and a single dispatcher
-//! thread drains same-key batches after holding a coalescing window open.
+//! thread drains same-key batches (after an optional coalescing window).
 //! Extracting it behind the [`crate::sync`] shim lets the loom leg
 //! (`tests/loom_dispatch.rs`) exhaustively model the exact production
 //! handoff: no admitted job is lost, no wakeup miss can strand the
@@ -134,8 +134,9 @@ impl<K: PartialEq + Copy, T> DispatchQueue<K, T> {
     }
 
     /// Block until work arrives, hold the coalescing `window` open for
-    /// same-key arrivals, then drain every job sharing the head job's key
-    /// (in admission order; different-key jobs keep their queue order).
+    /// same-key arrivals (a zero window skips the wait), then drain every
+    /// job sharing the head job's key (in admission order; different-key
+    /// jobs keep their queue order).
     /// Returns `None` only when the queue is empty *and* shutdown was
     /// requested. Single-consumer: only one thread may call this.
     pub fn collect(&self, window: Duration) -> Option<Vec<T>> {

@@ -8,12 +8,15 @@
 //!    [`BfcJob`] whose admission instant starts the deadline clock.
 //!    A full queue is refused immediately with HTTP 429 + `Retry-After`
 //!    — the socket never absorbs unbounded work.
-//! 2. The single dispatcher thread holds a *coalescing window* open from
-//!    the moment it sees a non-empty queue: same-key jobs (identical
-//!    shape, precision, policy and guard) arriving within the window are
-//!    drained into one [`ExecHandle::run_batch`] call, which validates
-//!    the shape, consults the tuner and leases a workspace **once** for
-//!    the whole batch. Different-key jobs stay queued in order.
+//! 2. The single dispatcher thread is *work-conserving*: it takes the
+//!    queue as soon as it is non-empty and drains every job sharing the
+//!    head job's key (identical shape, precision, policy and guard) into
+//!    one [`ExecHandle::run_batch`] call, which validates the shape,
+//!    consults the tuner and leases a workspace **once** for the whole
+//!    batch. Jobs that arrive while a batch runs pile up and coalesce
+//!    into the next one. Different-key jobs stay queued in order. A
+//!    positive [`ServeConfig::window`] instead holds a freshly non-empty
+//!    queue open that long for more same-key arrivals.
 //! 3. Each job's result (gradient + [`winrs_core::ExecutionReport`], or a
 //!    typed error) is sent back to its parked connection handler, which
 //!    renders the HTTP response. Deadline overruns surface as 504 with
@@ -52,6 +55,8 @@ pub struct ServeConfig {
     pub addr: String,
     /// Coalescing window: how long the dispatcher holds a freshly
     /// non-empty queue open for same-key arrivals before dispatching.
+    /// Zero (the default) dispatches at once; a positive window trades
+    /// latency for larger batches.
     pub window: Duration,
     /// Maximum queued (admitted but not yet dispatched) jobs; arrivals
     /// beyond this are refused with HTTP 429 + `Retry-After`.
@@ -70,9 +75,13 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
-            // Two milliseconds is invisible next to a real BFC dispatch
-            // but long enough for a concurrent client burst to pile up.
-            window: Duration::from_millis(2),
+            // Work-conserving: dispatch as soon as work is queued. Jobs
+            // that arrive while a batch runs still coalesce into the next
+            // one. A batch runs its jobs one after another, so coalescing
+            // saves only ~1.5 µs per extra job (one tuner decision, plan
+            // lookup and lease), while a window costs its full length per
+            // batch: 2 ms is ~7× the engine time of an n2 16² c8 f3 job.
+            window: Duration::ZERO,
             queue_cap: 256,
             max_jobs: None,
             slots: 0,
@@ -329,11 +338,10 @@ fn accept_loop(listener: &TcpListener, sh: &Arc<Shared>) {
 
 fn handle_connection(stream: TcpStream, sh: &Shared) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut stream = stream;
+    // Each response is one write (see `http`); without Nagle it leaves at
+    // once instead of waiting for the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
+    let mut reader = BufReader::new(&stream);
     loop {
         // ORDERING: monotone flag; a keep-alive connection racing the
         // flag at worst serves one more request before closing.
@@ -345,13 +353,13 @@ fn handle_connection(stream: TcpStream, sh: &Shared) {
             ReadOutcome::Closed => break,
             ReadOutcome::Malformed(m) => {
                 let body = error_json("malformed-http", &m).to_document();
-                let _ = Response::json(400, body).write_to(&mut stream, true);
+                let _ = Response::json(400, body).write_to(&mut &stream, true);
                 break;
             }
         };
         let close = req.wants_close();
         let resp = route(&req, sh);
-        if resp.write_to(&mut stream, close).is_err() || close {
+        if resp.write_to(&mut &stream, close).is_err() || close {
             break;
         }
     }
@@ -482,8 +490,8 @@ fn dispatch_loop(sh: &Shared) {
     }
 }
 
-/// Block until work arrives, hold the coalescing window open, then drain
-/// every job sharing the head job's key — all inside
+/// Block until work arrives, hold the coalescing window (if any) open,
+/// then drain every job sharing the head job's key — all inside
 /// [`DispatchQueue::collect`]. Returns `None` only when the queue is
 /// empty *and* shutdown was requested — queued jobs always drain before
 /// the dispatcher exits.

@@ -36,8 +36,9 @@ use winrs_serve::{AdmitError, DispatchQueue};
 
 /// Two producers race the consumer: every admitted job is collected
 /// exactly once, same-key jobs may coalesce, and the post-shutdown drain
-/// loses nothing. The coalescing window is zero in the model — wall-clock
-/// windows are not explorable, and the window only *extends* a batch.
+/// loses nothing. The coalescing window is zero in the model, as in the
+/// server's default — wall-clock windows are not explorable, and a
+/// positive window only *extends* a batch.
 #[test]
 fn no_lost_jobs_across_interleavings() {
     loom::model(|| {

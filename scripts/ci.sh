@@ -22,8 +22,9 @@
 #      and a `--db` run must persist a winrs-tune-v1 database that
 #      round-trips through `--inspect`
 #   7. serve smoke: `winrs serve` on an ephemeral port answers a raw
-#      `POST /v1/bfc` with 200 + a well-formed ExecutionReport, serves one
-#      `winrs loadgen` job with zero failures, and shuts itself down
+#      `POST /v1/bfc` with 200 + a well-formed ExecutionReport, answers
+#      two POSTs on one keep-alive connection with complete 200 replies,
+#      serves one `winrs loadgen` job with zero failures, and shuts itself down
 #      cleanly (exit 0) once its `--max-jobs` budget drains — DESIGN.md §13
 #   8. `cargo xtask audit`: the workspace's own invariant lints (hot-loop
 #      allocation ban, unsafe registry + SAFETY comments, atomic-ordering
@@ -145,13 +146,14 @@ grep -q '"schema":"winrs-tune-v1"' "$TUNE_DB"
 rm -f "$TUNE_DB"
 
 echo "==> serve smoke (batched BFC service: POST /v1/bfc end-to-end)"
-# Start the service on an ephemeral port with a 2-job budget: one raw
-# HTTP POST (bash /dev/tcp — the image ships no curl) plus one job from
-# the official load generator drain the budget, after which the server
-# must shut itself down cleanly (exit 0) — the leak-free teardown check.
+# Start the service on an ephemeral port with a 4-job budget: one raw
+# HTTP POST (bash /dev/tcp — the image ships no curl), two POSTs on one
+# keep-alive connection, and one job from the official load generator
+# drain the budget, after which the server must shut itself down cleanly
+# (exit 0) — the leak-free teardown check.
 SERVE_ADDR_FILE=$(mktemp -t winrs-ci-serve-XXXXXX.addr)
 : > "$SERVE_ADDR_FILE"
-"$WINRS" serve --port 0 --addr-file "$SERVE_ADDR_FILE" --max-jobs 2 --window-ms 1 &
+"$WINRS" serve --port 0 --addr-file "$SERVE_ADDR_FILE" --max-jobs 4 --window-ms 1 &
 SERVE_PID=$!
 for _ in $(seq 1 100); do [ -s "$SERVE_ADDR_FILE" ] && break; sleep 0.05; done
 [ -s "$SERVE_ADDR_FILE" ] || { echo "serve smoke: server never bound"; exit 1; }
@@ -173,6 +175,32 @@ echo "$SERVE_OUT" | grep -q '"total_s":'
 echo "$SERVE_OUT" | grep -q '"pool":'
 echo "$SERVE_OUT" | grep -q '"summary":'
 echo "$SERVE_OUT" | grep -q '"fnv1a64":'
+# Keep-alive leg: two POSTs on one connection, each answered 200 OK with
+# a complete body (exactly Content-Length bytes of one JSON document).
+read_serve_reply() {
+  local line len=0
+  IFS= read -r -t 30 line <&4
+  SERVE_STATUS=${line%$'\r'}
+  while IFS= read -r -t 30 line <&4; do
+    line=${line%$'\r'}
+    [ -z "$line" ] && break
+    case "${line,,}" in content-length:*) len=${line#*:}; len=${len// /} ;; esac
+  done
+  SERVE_REPLY=""
+  [ "$len" -gt 0 ] && LC_ALL=C IFS= read -r -N "$len" -t 30 SERVE_REPLY <&4
+  echo "keep-alive: $SERVE_STATUS (${#SERVE_REPLY}/$len body bytes)" >&2
+  local doc=${SERVE_REPLY%$'\n'}
+  [ "$SERVE_STATUS" = "HTTP/1.1 200 OK" ] && [ "${#SERVE_REPLY}" -eq "$len" ] \
+    && [ "${doc:0:1}" = "{" ] && [ "${doc: -1}" = "}" ]
+}
+exec 4<>"/dev/tcp/$SERVE_HOST/$SERVE_PORT"
+for SERVE_CONN in keep-alive close; do
+  printf 'POST /v1/bfc HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\nContent-Length: %s\r\nConnection: %s\r\n\r\n%s' \
+    "$SERVE_HOST" "${#SERVE_BODY}" "$SERVE_CONN" "$SERVE_BODY" >&4
+  read_serve_reply
+  echo "$SERVE_REPLY" | grep -q '"fnv1a64":'
+done
+exec 4<&- 4>&-
 # Second job through the official client; its exit code asserts zero
 # failed jobs, which also drains the server's budget.
 "$WINRS" loadgen --addr "$SERVE_HOST:$SERVE_PORT" --jobs 1 --concurrency 1 >&2

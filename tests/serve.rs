@@ -6,9 +6,11 @@
 //! pool (`slots > 0`) so tests neither collide on a port nor share tuner
 //! and plan-cache counters through the process-global pool.
 
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use winrs::conv::ConvShape;
 use winrs::core::{ExecHandle, PoolConfig, Precision, WorkspacePool};
@@ -312,4 +314,125 @@ fn max_jobs_budget_drains_then_the_server_stops_cleanly() {
 
     // The listener is gone; a new job cannot be submitted.
     assert!(Client::new(&addr).post_job(&job(fig10_shape(), 99)).is_err());
+}
+
+/// Send one keep-alive `POST /v1/bfc` on `stream` and read the whole
+/// reply back; returns the status and the round-trip time.
+fn keep_alive_post(
+    stream: &TcpStream,
+    reader: &mut BufReader<&TcpStream>,
+    body: &str,
+) -> (u16, Duration) {
+    let request = format!(
+        "POST /v1/bfc HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let start = Instant::now();
+    (&*stream).write_all(request.as_bytes()).expect("send");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("status line");
+    let status = line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .expect("status code");
+    let mut content_length = 0;
+    loop {
+        line.clear();
+        reader.read_line(&mut line).expect("header line");
+        let header = line.trim_end();
+        if header.is_empty() {
+            break;
+        }
+        if let Some((k, v)) = header.split_once(':') {
+            if k.eq_ignore_ascii_case("content-length") {
+                content_length = v.trim().parse().expect("content length");
+            }
+        }
+    }
+    let mut reply = vec![0u8; content_length];
+    reader.read_exact(&mut reply).expect("body");
+    (status, start.elapsed())
+}
+
+#[test]
+fn keep_alive_round_trips_never_wait_for_a_delayed_ack() {
+    // The default configuration (zero window, one-write responses on a
+    // TCP_NODELAY socket) on a private pool. The client is a plain socket
+    // without TCP_QUICKACK, so any reply held back by Nagle would wait
+    // for the client's delayed ACK: at least 40 ms on Linux.
+    let server = Server::spawn(ServeConfig {
+        slots: 1,
+        ..ServeConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(&stream);
+    let body = r#"{"shape": {"n":1, "ih":8, "iw":8, "ic":4, "oc":4, "fh":3, "fw":3}}"#;
+
+    let mut rtts: Vec<Duration> = (0..16)
+        .map(|_| {
+            let (status, rtt) = keep_alive_post(&stream, &mut reader, body);
+            assert_eq!(status, 200);
+            rtt
+        })
+        .collect();
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median keep-alive round trip {median:?} (all: {rtts:?}) is not below half \
+         of the 40 ms delayed-ACK floor"
+    );
+    use std::sync::atomic::Ordering::Relaxed;
+    assert_eq!(server.stats().jobs_ok.load(Relaxed), 16);
+    assert_eq!(server.stats().requests.load(Relaxed), 16);
+}
+
+#[test]
+fn zero_window_still_coalesces_jobs_queued_behind_a_running_batch() {
+    // With the default zero window the dispatcher runs at once, so
+    // coalescing comes only from jobs that pile up while a batch runs.
+    // A slow forced-direct job (its own key) occupies the dispatcher;
+    // same-key jobs admitted meanwhile must leave together afterwards.
+    let server = Server::spawn(ServeConfig {
+        slots: 1,
+        ..ServeConfig::default()
+    })
+    .expect("bind ephemeral port");
+    assert_eq!(ServeConfig::default().window, Duration::ZERO);
+    let addr = server.addr().to_string();
+
+    let mut slow = job(ConvShape::square(4, 32, 16, 16, 7), 90);
+    slow.policy = winrs::core::FallbackPolicy::Force(winrs::core::Algorithm::Direct);
+    let slow_reply = {
+        let addr = addr.clone();
+        thread::spawn(move || Client::new(&addr).post_job(&slow))
+    };
+    // `batches` is bumped just before `run_batch` starts executing.
+    use std::sync::atomic::Ordering::Relaxed;
+    while server.stats().batches.load(Relaxed) == 0 {
+        thread::sleep(Duration::from_millis(1));
+    }
+
+    const QUEUED: u64 = 4;
+    let replies = post_all(&addr, (0..QUEUED).map(|i| job(fig10_shape(), 91 + i)).collect());
+    for reply in &replies {
+        let reply = reply.as_ref().expect("transport");
+        assert_eq!(reply.status, 200, "body: {}", reply.body.to_document());
+    }
+    let slow_reply = slow_reply.join().expect("slow client").expect("transport");
+    assert_eq!(slow_reply.status, 200, "body: {}", slow_reply.body.to_document());
+
+    let st = server.stats();
+    assert_eq!(st.jobs_ok.load(Relaxed), QUEUED + 1);
+    assert!(
+        st.coalesced_batches.load(Relaxed) >= 1,
+        "jobs queued behind a running batch must coalesce, got stats {}",
+        server.stats_json().to_document()
+    );
 }
